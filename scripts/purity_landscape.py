@@ -15,12 +15,12 @@ from dotcavity.params import make_params
 from dotcavity.photon_state import NoInteriorMax, purity_max_line
 
 
-def run(out: pathlib.Path, points: int, threads: int) -> None:
+def run(out: pathlib.Path, points: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     grid = [
         "--kappa-min", "0.1", "--kappa-max", "100", "--kappa-points", str(points),
         "--gamma-p-min", "0.01", "--gamma-p-max", "100",
-        "--gamma-p-points", str(points), "--threads", str(threads),
+        "--gamma-p-points", str(points),
     ]
     cli(["purity-map", "--units", "g", "--resonant", *grid,
          "--output", str(out / "purity_map_resonant.csv")])
@@ -55,6 +55,5 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out"))
     parser.add_argument("--points", type=int, default=40)
-    parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args()
-    run(args.out, args.points, args.threads)
+    run(args.out, args.points)

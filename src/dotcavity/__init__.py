@@ -55,6 +55,7 @@ from .photon_state import (
     dm_eval,
     half_efficiency_time,
     purity,
+    purity_grid,
     purity_max_line,
     time_filter,
     trace,

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .photon_state import (
     dm_eval,
     half_efficiency_time,
     purity,
+    purity_grid,
     time_filter,
     trace,
 )
@@ -77,7 +77,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--output", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--threads", type=int, default=1, help="worker threads")
+    sub.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility and ignored: every command runs in "
+        "one thread and purity-map evaluates its grid in one batched call",
+    )
 
 
 def _resolve_params(args) -> SystemParams:
@@ -298,27 +302,6 @@ def cmd_purity(args) -> int:
     return 0
 
 
-def _map_point(base: SystemParams, kappa_over_g: float, gp_over_g: float):
-    try:
-        p = make_params(
-            omega_d=base.omega_d, omega_c=base.omega_c, g=base.g,
-            kappa=kappa_over_g * base.g, gamma=base.gamma,
-            gamma_p=gp_over_g * base.g,
-        )
-        dm = PhotonDensityMatrix.from_params(p)
-        value = purity(dm)
-        bound = trace(dm) ** 2
-        if not 0.0 <= value <= bound + 1e-6 * max(1.0, bound):
-            # near-critical eigenvalue gaps lose the residue tables'
-            # precision; report the cell instead of a silent bad value
-            return math.nan, "ill-conditioned"
-        return value, "ok"
-    except DegenerateEigenvalues:
-        return math.nan, "degenerate"
-    except RepeatedPoles:
-        return math.nan, "repeated-poles"
-
-
 def cmd_purity_map(args) -> int:
     params = _resolve_params(args)
     for name, count in (
@@ -329,28 +312,17 @@ def cmd_purity_map(args) -> int:
             raise CliError(f"{name}: grid needs at least 2 points")
     kappas = np.geomspace(args.kappa_min, args.kappa_max, args.kappa_points)
     gps = np.geomspace(args.gamma_p_min, args.gamma_p_max, args.gamma_p_points)
-    jobs = [
-        (i * len(gps) + j, float(kappas[i]), float(gps[j]))
-        for i in range(len(kappas))
-        for j in range(len(gps))
+    values, statuses = purity_grid(
+        params, kappas[:, None] * params.g, gps[None, :] * params.g
+    )
+
+    rows = [
+        (k, gp, "" if math.isnan(value) else _fmt(value), status)
+        for k, value_row, status_row in zip(
+            kappas.tolist(), values.tolist(), statuses.tolist()
+        )
+        for gp, value, status in zip(gps.tolist(), value_row, status_row)
     ]
-
-    results: dict[int, tuple[float, str]] = {}
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futures = {
-                pool.submit(_map_point, params, k, gp): idx for idx, k, gp in jobs
-            }
-            for future, idx in futures.items():
-                results[idx] = future.result()
-    else:
-        for idx, k, gp in jobs:
-            results[idx] = _map_point(params, k, gp)
-
-    rows = []
-    for idx, k, gp in jobs:
-        value, status = results[idx]
-        rows.append((k, gp, "" if math.isnan(value) else _fmt(value), status))
     _emit_csv(
         args, params, ["kappa_over_g", "gamma_p_over_g", "purity", "status"],
         rows,

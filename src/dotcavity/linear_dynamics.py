@@ -89,33 +89,58 @@ def eigen_system(params: SystemParams) -> EigenSystem:
             params=params,
         )
 
-    half_sum = -0.5j * (wd + wc)
-    half_diff = -0.5j * (wd - wc)
-    disc = np.sqrt(half_diff * half_diff - params.g**2 + 0.0j)
-    lam_a, lam_b = half_sum + disc, half_sum - disc
+    lam_a, lam_b, confluent = _eigenvalue_pair(wd, wc, params.g)
     lam1, lam2 = sorted(
         (complex(lam_a), complex(lam_b)), key=lambda z: (-z.real, -z.imag)
     )
-
-    scale = max(abs(lam1), abs(lam2), 1.0)
-    if abs(lam1 - lam2) <= DEGENERACY_RTOL * scale:
+    if confluent:
+        scale = max(abs(lam1), abs(lam2), 1.0)
         raise DegenerateEigenvalues(
             f"|lambda1 - lambda2| = {abs(lam1 - lam2):.3e} <= {DEGENERACY_RTOL:.0e}"
             f" * {scale:.3e}; parameters sit at critical damping. "
             "Perturb kappa by ~1e-6 relative to move off the confluence."
         )
 
-    gap = lam1 - lam2
+    A1, A2, B1, B2, At1, At2 = _amplitude_weights(lam1, lam2, wd, wc, params.g)
     return EigenSystem(
         lambda1=lam1,
         lambda2=lam2,
-        A1=(lam1 + 1j * wc) / gap,
-        A2=(lam2 + 1j * wc) / (-gap),
-        B1=-1j * params.g / gap,
-        B2=1j * params.g / gap,
-        At1=(lam1 + 1j * wd) / gap,
-        At2=(lam2 + 1j * wd) / (-gap),
+        A1=A1,
+        A2=A2,
+        B1=B1,
+        B2=B2,
+        At1=At1,
+        At2=At2,
         params=params,
+    )
+
+
+def _eigenvalue_pair(wd, wc, g):
+    """Unordered eigenvalues of the amplitude matrix and their confluence flag.
+
+    wd, wc are the cavity-frame complex frequencies.  Broadcasts over
+    arrays, so `eigen_system` and the batched `photon_state.purity_grid`
+    apply the same refusal rule: confluent when |lambda_a - lambda_b| <=
+    DEGENERACY_RTOL * max(|lambda_a|, |lambda_b|, 1).
+    """
+    half_sum = -0.5j * (wd + wc)
+    half_diff = -0.5j * (wd - wc)
+    disc = np.sqrt(half_diff * half_diff - g**2 + 0.0j)
+    lam_a, lam_b = half_sum + disc, half_sum - disc
+    scale = np.maximum(np.maximum(np.abs(lam_a), np.abs(lam_b)), 1.0)
+    return lam_a, lam_b, np.abs(lam_a - lam_b) <= DEGENERACY_RTOL * scale
+
+
+def _amplitude_weights(lam1, lam2, wd, wc, g):
+    """(A1, A2, B1, B2, At1, At2) for the labelled eigenvalues; broadcasts."""
+    gap = lam1 - lam2
+    return (
+        (lam1 + 1j * wc) / gap,
+        (lam2 + 1j * wc) / (-gap),
+        -1j * g / gap,
+        1j * g / gap,
+        (lam1 + 1j * wd) / gap,
+        (lam2 + 1j * wd) / (-gap),
     )
 
 

@@ -225,26 +225,29 @@ def reconstruct_dm(
 
 
 def reconstruct_dm_grid(params: SystemParams, u_values) -> np.ndarray:
-    """Kernel matrix on a grid of retarded coordinates, oracle route."""
+    """Kernel matrix on a grid of retarded coordinates, oracle route.
+
+    The same composition as `reconstruct_dm`, evaluated for all pairs at
+    once: the lower triangle u_i >= u_j from the trajectory at u_j and the
+    amplitude propagators at u_i - u_j, the upper one by Hermitian mirror.
+    """
     u_values = np.asarray(u_values, dtype=float)
     order = np.argsort(u_values)
     es = eigen_system(params)
     trajectory = integrate_master(params, u_values[order])
-    by_index = {order[i]: trajectory[i] for i in range(len(order))}
+    rho_sa = np.empty(len(u_values), dtype=complex)
+    rho_aa = np.empty(len(u_values), dtype=complex)
+    rho_sa[order] = [s.rho_sa for s in trajectory]
+    rho_aa[order] = [s.rho_aa for s in trajectory]
 
-    n = len(u_values)
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if u_values[i] >= u_values[j]:
-                out[i, j] = reconstruct_dm(
-                    params, [by_index[j]], u_values[i], u_values[j], es
-                )
-            else:
-                out[i, j] = np.conj(
-                    reconstruct_dm(params, [by_index[i]], u_values[j], u_values[i], es)
-                )
-    return out
+    lower = u_values[:, None] >= u_values[None, :]
+    gap = np.where(lower, u_values[:, None] - u_values[None, :], 0.0)
+    value = params.kappa * (
+        rho_aa[None, :] * beta0_tilde(gap, es) - rho_sa[None, :] * beta0(gap, es)
+    )
+    if params.frame_shift != 0.0:
+        value = value * np.exp(-1j * params.frame_shift * gap)
+    return np.where(lower, value, np.conj(value.T))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_dynamics import DegenerateEigenvalues, eigen_system
-from .params import ParameterError, SystemParams
-from .pole_residue import PoleSystem, RepeatedPoles, solve_poles
+from .linear_dynamics import _amplitude_weights, _eigenvalue_pair, eigen_system
+from .params import ParameterError, SystemParams, make_params
+from .pole_residue import REPEATED_RTOL, PoleSystem, solve_poles
 from .observables import decay_rate, asymptotic_time
 
 
 class NoInteriorMax(RuntimeError):
     """Purity scan was monotone; no interior ridge point to refine."""
+
+
+def _require_photon(params: SystemParams) -> None:
+    """Refuse parameter sets that emit no photon into the output mode."""
+    if params.g_zero:
+        raise ParameterError(
+            "g", "no photon reaches the output mode in the decoupled "
+            "g = 0 limit"
+        )
+    params.require_escape_channel()
 
 
 @dataclass(frozen=True)
@@ -41,12 +51,7 @@ class PhotonDensityMatrix:
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "PhotonDensityMatrix":
-        if params.g_zero:
-            raise ParameterError(
-                "g", "no photon reaches the output mode in the decoupled "
-                "g = 0 limit"
-            )
-        params.require_escape_channel()
+        _require_photon(params)
         es = eigen_system(params)
         return cls(ps=solve_poles(es, params.gamma_p), carrier=params.frame_shift)
 
@@ -120,6 +125,107 @@ def purity(dm: PhotonDensityMatrix) -> float:
     cross = np.einsum("jm,kn->jkmn", w, np.conj(w))
     total = 2.0 * np.sum(cross / (mu_pairs[:, :, None, None] * lam_pairs[None, None]))
     return float(total.real)
+
+
+def purity_grid(
+    base: SystemParams, kappas, gamma_ps
+) -> tuple[np.ndarray, np.ndarray]:
+    """Purity at many (kappa, gamma_p) points that share the rest of `base`.
+
+    `kappas` and `gamma_ps` are rates in the units of `base` and broadcast
+    against each other (kappas[:, None] and gamma_ps[None, :] give an outer
+    grid).  All points are evaluated at once from the eigendecomposition of
+    their stacked 4x4 generators -G = V diag(mu) V^-1, the dynamics of
+    (rho_ss, rho_sa, rho_as, rho_aa): with c = V^-1 e1 the kernel weights
+    are kappa * (V[3] c (x) At - V[1] c (x) B), and the purity is the same
+    double residue sum as `purity`.
+
+    Returns (values, statuses) in the broadcast shape.  A status is "ok"
+    or says why the value is NaN:
+
+    degenerate      : confluent amplitude eigenvalues, the rule under which
+                      `eigen_system` raises DegenerateEigenvalues
+    repeated-poles  : cond(V) >= 1 / REPEATED_RTOL.  Poles at relative
+                      distance d have eigenvectors at an angle of order d,
+                      so cond(V) ~ 1/d and this is the gap rule under which
+                      `solve_poles` raises RepeatedPoles, read off V (eig
+                      splits a collision only to ~sqrt(eps), so the computed
+                      gap cannot be used)
+    ill-conditioned : purity outside [0, Tr^2]
+
+    The residues grow like cond(V) and cancel in the purity, so an "ok"
+    value carries a rounding error of order eps * cond(V)^2 (at most
+    3 eps cond(V)^2 against 50-digit arithmetic in the tests): below 1e-10
+    while cond(V) < 400, which holds away from pole collisions such as
+    resonant kappa -> 4g with gamma_p -> 0.
+
+    A point that `make_params` or `PhotonDensityMatrix.from_params` would
+    refuse raises that error for the first such point in row-major order.
+    """
+    kappa, gamma_p = np.broadcast_arrays(
+        np.asarray(kappas, dtype=float), np.asarray(gamma_ps, dtype=float)
+    )
+    shape = kappa.shape
+    kappa, gamma_p = kappa.ravel(), gamma_p.ravel()
+    refused = (
+        ~np.isfinite(kappa) | ~np.isfinite(gamma_p) | (kappa < 0.0)
+        | (gamma_p < 0.0) | ((kappa <= 0.0) & (base.gamma <= 0.0)) | base.g_zero
+    )
+    if np.any(refused):
+        first = int(np.argmax(refused))
+        _require_photon(make_params(
+            omega_d=base.omega_d, omega_c=base.omega_c, g=base.g,
+            kappa=float(kappa[first]), gamma=base.gamma,
+            gamma_p=float(gamma_p[first]),
+        ))
+
+    values = np.full(kappa.shape, np.nan)
+    statuses = np.full(kappa.shape, "ok", dtype=object)
+    g, gamma, dw = base.g, base.gamma, base.detuning
+    wd = dw - 0.5j * (gamma + 2.0 * gamma_p)      # cavity frame, as `internal`
+    wc = -0.5j * kappa
+    lam_a, lam_b, confluent = _eigenvalue_pair(wd, wc, g)
+    statuses[confluent] = "degenerate"
+
+    live = np.flatnonzero(~confluent)
+    k = kappa[live]
+    halfw = 0.5 * (gamma + k) + gamma_p[live]
+    gen = np.zeros((len(live), 4, 4), dtype=complex)
+    gen[:, 0, :] = [-gamma, -1j * g, 1j * g, 0.0]
+    gen[:, 1, 0], gen[:, 1, 1], gen[:, 1, 3] = -1j * g, -(halfw + 1j * dw), 1j * g
+    gen[:, 2, 0], gen[:, 2, 2], gen[:, 2, 3] = 1j * g, -(halfw - 1j * dw), -1j * g
+    gen[:, 3, 1], gen[:, 3, 2], gen[:, 3, 3] = 1j * g, -1j * g, -k
+    mu, vecs = np.linalg.eig(gen)
+
+    sv = np.linalg.svd(vecs, compute_uv=False)
+    singular = sv[:, -1] <= REPEATED_RTOL * sv[:, 0]
+    statuses[live[singular]] = "repeated-poles"
+    keep = ~singular
+    live, k, mu, vecs = live[keep], k[keep], mu[keep], vecs[keep]
+
+    c = np.linalg.solve(vecs, np.eye(4, 1))[..., 0]        # V^-1 e1
+    sa = vecs[:, 1, :] * c               # rho_sa(t) = sum_j sa_j exp(mu_j t)
+    aa = vecs[:, 3, :] * c               # rho_aa(t) = sum_j aa_j exp(mu_j t)
+    lam = np.stack([lam_a[live], lam_b[live]], axis=-1)
+    _, _, B1, B2, At1, At2 = _amplitude_weights(
+        lam[:, 0], lam[:, 1], wd[live], wc[live], g
+    )
+    w = k[:, None, None] * (
+        aa[:, :, None] * np.stack([At1, At2], axis=-1)[:, None, :]
+        - sa[:, :, None] * np.stack([B1, B2], axis=-1)[:, None, :]
+    )
+    mu_pairs = mu[:, :, None] + np.conj(mu)[:, None, :]
+    lam_pairs = lam[:, :, None] + np.conj(lam)[:, None, :]
+    value = 2.0 * np.einsum(
+        "njm,nkl,njk,nml->n", w, np.conj(w), 1.0 / mu_pairs, 1.0 / lam_pairs
+    ).real
+
+    # near-critical gaps lose the tables' precision; flag, never report
+    bound = np.sum(k[:, None] * aa / -mu, axis=-1).real ** 2     # Tr^2
+    sane = (0.0 <= value) & (value <= bound + 1e-6 * np.maximum(1.0, bound))
+    statuses[live[~sane]] = "ill-conditioned"
+    values[live[sane]] = value[sane]
+    return values.reshape(shape), statuses.reshape(shape)
 
 
 def coincidence_probability(purity_value: float) -> float:
@@ -265,21 +371,17 @@ def purity_max_line(
 ) -> tuple[float, float]:
     """Locate the interior purity maximum over gamma_p in a log window.
 
-    Scans n_scan log-spaced dephasing rates at fixed (g, kappa, detuning),
-    brackets every interior local maximum of the samples and refines each
-    by golden-section search on log gamma_p.  Returns (gamma_p*, purity*)
+    Scans n_scan log-spaced dephasing rates at fixed (g, kappa, detuning)
+    in one `purity_grid` call (cells it flags are skipped), brackets every
+    interior local maximum of the samples and refines each by
+    golden-section search on log gamma_p.  Returns (gamma_p*, purity*)
     for the highest refined maximum; raises NoInteriorMax when the scan is
     monotone.
     """
     if not 0.0 < gamma_p_min < gamma_p_max:
         raise ValueError("need 0 < gamma_p_min < gamma_p_max")
     grid = np.logspace(math.log10(gamma_p_min), math.log10(gamma_p_max), n_scan)
-    values = np.empty(n_scan)
-    for i, gp in enumerate(grid):
-        try:
-            values[i] = _purity_at(params, gp)
-        except (DegenerateEigenvalues, RepeatedPoles):
-            values[i] = np.nan
+    values, _ = purity_grid(params, params.kappa, grid)
 
     best: tuple[float, float] | None = None
     logs = np.log(grid)

@@ -181,6 +181,37 @@ def test_purity_map_structure_resonant(tmp_path):
     assert best_gp == pytest.approx(ridge_gp, rel=0.5)
 
 
+def test_purity_map_invalid_parameters_exit_2(capsys):
+    small = ["--kappa-points", "3", "--gamma-p-points", "3"]
+    assert main(["purity-map", "--g", "0", "--resonant", *small]) == 2
+    assert "g: no photon reaches the output mode" in capsys.readouterr().err
+    assert main(["purity-map", "--g", "1", "--resonant", "--kappa-min", "0",
+                 *small]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["purity-map", "--g", "1", "--resonant", "--kappa-min", "-1",
+                 "--kappa-max", "-5", *small]) == 2
+    assert "kappa: must be >= 0, got -1.0" in capsys.readouterr().err
+    assert main(["purity-map", "--units", "g", "--resonant", "--gamma-p-min",
+                 "-1", "--gamma-p-max", "-5", *small]) == 2
+    assert "gamma_p: must be >= 0, got -1.0" in capsys.readouterr().err
+
+
+def test_purity_map_small_dephasing_is_linear(tmp_path):
+    """1 - P grows linearly in gamma_p from 0; no jump where solve_poles
+    switches to its gamma_p = 0 tables (gamma_p < 1e-6 max(g, kappa))."""
+    out = tmp_path / "small.csv"
+    assert main([
+        "purity-map", "--units", "g", "--detuning", "8",
+        "--kappa-min", "0.05", "--kappa-max", "0.05", "--kappa-points", "2",
+        "--gamma-p-min", "1e-8", "--gamma-p-max", "2e-6",
+        "--gamma-p-points", "9", "--output", str(out),
+    ]) == 0
+    _, rows = _data_rows(_read(out))
+    assert all(r[3] == "ok" for r in rows)
+    slopes = [(1.0 - float(r[2])) / float(r[1]) for r in rows]
+    assert max(slopes) <= 1.01 * min(slopes)
+
+
 def test_determinism_across_threads(tmp_path):
     base = [
         "purity-map", "--units", "g", "--resonant",

@@ -151,6 +151,24 @@ def test_reconstruction_grid_matches_analytic():
     assert np.max(np.abs(analytic - oracle)) < 1e-8
 
 
+@pytest.mark.parametrize("params", [
+    make_params(omega_d=0.0, omega_c=0, g=1.0, kappa=2.0, gamma=0,
+                gamma_p=math.sqrt(2.0)),
+    make_params(omega_d=600.0, omega_c=-50.0, g=25.0, kappa=150.0, gamma=2.0,
+                gamma_p=200.0),
+], ids=["resonant", "detuned"])
+def test_reconstruction_grid_matches_pointwise(params):
+    us = np.array([0.0, 0.7, 0.05, 1.3, 0.7, 0.4, 2.0, 0.9])
+    grid = reconstruct_dm_grid(params, us)
+    states = integrate_master(params, np.sort(us))
+    es = eigen_system(params)
+    scale = float(np.max(np.abs(grid)))
+    for i, u in enumerate(us):
+        for j, up in enumerate(us):
+            expected = reconstruct_dm(params, states, u, up, es=es)
+            assert abs(grid[i, j] - expected) <= 1e-13 * scale
+
+
 def test_emitted_fraction_conserves_total():
     p = make_params(omega_d=0.0, omega_c=0, g=25.0, kappa=150.0, gamma=0.0,
                     gamma_p=50.0)
